@@ -470,14 +470,16 @@ impl Autopilot {
                     }
                     let mut table = ForwardingTable::new();
                     program_one_hop(&mut table);
-                    self.log.log(
-                        now,
-                        self.log_source,
-                        Event::TableInstalled {
-                            epoch: self.engine.epoch(),
-                            table: table.clone(),
-                        },
-                    );
+                    if self.log.is_enabled() {
+                        self.log.log(
+                            now,
+                            self.log_source,
+                            Event::TableInstalled {
+                                epoch: self.engine.epoch(),
+                                table: table.clone(),
+                            },
+                        );
+                    }
                     actions.push(Action::LoadTable(table));
                 }
                 ReconfigOutput::Completed(global) => {
@@ -539,14 +541,18 @@ impl Autopilot {
             None => compute_forwarding_table(global, self.uid, &hosts, RouteKind::UpDown),
         };
         if let Some(table) = table {
-            self.log.log(
-                now,
-                self.log_source,
-                Event::TableInstalled {
-                    epoch,
-                    table: table.clone(),
-                },
-            );
+            // The trace entry owns a copy of the table: build it only when
+            // the log keeps entries.
+            if self.log.is_enabled() {
+                self.log.log(
+                    now,
+                    self.log_source,
+                    Event::TableInstalled {
+                        epoch,
+                        table: table.clone(),
+                    },
+                );
+            }
             actions.push(Action::LoadTable(table));
         } else {
             // A malformed topology (timeout-baseline failure mode): leave

@@ -11,10 +11,14 @@
 //! do all of this in software, and the experiments charge transmission
 //! time by encoded size, so the encoding is real, not estimated.
 
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
 use autonet_wire::{PortIndex, ShortAddress, SwitchNumber, Uid};
 
 use crate::epoch::Epoch;
-use crate::topology::{GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
+use crate::topology::{mix64, GlobalTopology, LinkInfo, SubtreeReport, SwitchInfo};
 use crate::tree::TreePosition;
 
 /// A control-plane message.
@@ -204,13 +208,82 @@ const COMPACT_REPORT_THRESHOLD: usize = 128;
 /// Sentinel index meaning "a literal UID follows" in a compact reference.
 const UID_REF_LITERAL: u16 = u16::MAX;
 
+/// Whether a topology of this many switches takes the compact encoding.
+fn is_compact(switches: &[SwitchInfo]) -> bool {
+    switches.len() > COMPACT_REPORT_THRESHOLD
+}
+
+/// Encoded bytes of a tree position.
+const POS_LEN: usize = 6 + 4 + 6 + 1;
+
+/// Encoded bytes of a compact UID reference at most: the sentinel plus a
+/// literal UID.
+const UID_REF_MAX: usize = 2 + 6;
+
+/// An upper bound on the encoded size of a report's switch array: exact
+/// for the classic encoding; the compact one counts every UID reference
+/// as a literal, since only the table says which ones are.
+fn report_len_bound(switches: &[SwitchInfo]) -> usize {
+    let per_switch: usize = if is_compact(switches) {
+        switches
+            .iter()
+            .map(|s| {
+                6 + 2 + UID_REF_MAX + 1 + 1 + (1 + UID_REF_MAX) * s.links.len() + s.host_ports.len()
+            })
+            .sum()
+    } else {
+        switches
+            .iter()
+            .map(|s| 6 + 2 + 6 + 1 + 2 + 8 * s.links.len() + 2 + s.host_ports.len())
+            .sum()
+    };
+    2 + per_switch
+}
+
+/// The hasher of a [`UidIndex`]: a UID hashes as one `write_u64`, folded
+/// in by [`mix64`], the topology digest's full-avalanche mixer.
+#[derive(Default)]
+struct UidHasher(u64);
+
+impl Hasher for UidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(self.0 ^ v);
+    }
+}
+
+/// Each UID's index in a compact report's UID table. A UID listed twice
+/// maps to its last index. The keys are UIDs that switches report about
+/// themselves, and Autonet trusts its switches, so a fixed, unseeded
+/// hash is acceptable here.
+type UidIndex = HashMap<Uid, u16, BuildHasherDefault<UidHasher>>;
+
+fn uid_index(switches: &[SwitchInfo]) -> UidIndex {
+    switches
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.uid, i as u16))
+        .collect()
+}
+
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+    fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     fn u8(&mut self, v: u8) {
@@ -267,7 +340,7 @@ impl Writer {
     /// A UID named by table index when it appears in the report's switch
     /// array, or by [`UID_REF_LITERAL`] + inline UID when it does not
     /// (links crossing the subtree boundary name switches outside it).
-    fn uid_ref(&mut self, u: Uid, idx: &std::collections::BTreeMap<Uid, u16>) {
+    fn uid_ref(&mut self, u: Uid, idx: &UidIndex) {
         match idx.get(&u) {
             Some(&i) => self.u16(i),
             None => {
@@ -284,25 +357,20 @@ impl Writer {
         self.u8((a << 4) | b);
     }
 
-    fn compact_report(&mut self, switches: &[SwitchInfo]) {
-        let idx: std::collections::BTreeMap<Uid, u16> = switches
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.uid, i as u16))
-            .collect();
+    fn compact_report(&mut self, switches: &[SwitchInfo], idx: &UidIndex) {
         self.u16(switches.len() as u16);
         for s in switches {
             self.uid(s.uid);
         }
         for s in switches {
             self.u16(s.proposed_number);
-            self.uid_ref(s.parent, &idx);
+            self.uid_ref(s.parent, idx);
             assert!(s.links.len() < 16 && s.host_ports.len() < 16);
             self.port_pair(s.links.len() as PortIndex, s.host_ports.len() as PortIndex);
             self.u8(s.parent_port);
             for l in &s.links {
                 self.port_pair(l.local_port, l.neighbor_port);
-                self.uid_ref(l.neighbor, &idx);
+                self.uid_ref(l.neighbor, idx);
             }
             for &p in &s.host_ports {
                 self.u8(p);
@@ -413,7 +481,8 @@ impl<'a> Reader<'a> {
         Ok((b >> 4, b & 0x0F))
     }
 
-    fn compact_report(&mut self) -> Result<SubtreeReport, MsgCodecError> {
+    /// A compact report and the UID table its references resolve against.
+    fn compact_report(&mut self) -> Result<(SubtreeReport, Vec<Uid>), MsgCodecError> {
         let n = self.u16()? as usize;
         let mut uids = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -447,7 +516,23 @@ impl<'a> Reader<'a> {
                 host_ports,
             });
         }
-        Ok(SubtreeReport { switches })
+        Ok((SubtreeReport { switches }, uids))
+    }
+
+    /// A number assignment whose keys `key` reads, bulk-built from the
+    /// collected pairs. A repeated UID keeps its last number, as
+    /// one-at-a-time insertion would.
+    fn numbers(
+        &mut self,
+        mut key: impl FnMut(&mut Self) -> Result<Uid, MsgCodecError>,
+    ) -> Result<BTreeMap<Uid, SwitchNumber>, MsgCodecError> {
+        let n = self.u16()? as usize;
+        let mut pairs = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            let uid = key(self)?;
+            pairs.push((uid, self.u16()?));
+        }
+        Ok(BTreeMap::from_iter(pairs))
     }
 
     fn done(&self) -> Result<(), MsgCodecError> {
@@ -462,7 +547,8 @@ impl<'a> Reader<'a> {
 impl ControlMsg {
     /// Serializes the message to its payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let bound = self.encoded_len_bound();
+        let mut w = Writer::with_capacity(bound);
         match self {
             ControlMsg::Probe {
                 seq,
@@ -517,11 +603,11 @@ impl ControlMsg {
                 w.pos(sender_pos);
             }
             ControlMsg::TopologyReport { epoch, seq, report } => {
-                if report.switches.len() > COMPACT_REPORT_THRESHOLD {
+                if is_compact(&report.switches) {
                     w.u8(12);
                     w.u64(epoch.0);
                     w.u64(*seq);
-                    w.compact_report(&report.switches);
+                    w.compact_report(&report.switches, &uid_index(&report.switches));
                 } else {
                     w.u8(5);
                     w.u64(epoch.0);
@@ -535,19 +621,14 @@ impl ControlMsg {
                 w.u64(*seq);
             }
             ControlMsg::TopologyDown { epoch, global } => {
-                if global.switches.len() > COMPACT_REPORT_THRESHOLD {
+                if is_compact(&global.switches) {
                     w.u8(13);
                     w.u64(epoch.0);
                     w.uid(global.root);
-                    w.compact_report(&global.switches);
+                    let idx = uid_index(&global.switches);
+                    w.compact_report(&global.switches, &idx);
                     // Number assignments name switches by table index too —
                     // the keys are (almost) exactly the report's UIDs.
-                    let idx: std::collections::BTreeMap<Uid, u16> = global
-                        .switches
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (s.uid, i as u16))
-                        .collect();
                     w.u16(global.numbers.len() as u16);
                     for (&uid, &num) in global.numbers.iter() {
                         w.uid_ref(uid, &idx);
@@ -617,7 +698,56 @@ impl ControlMsg {
                 }
             }
         }
+        debug_assert!(
+            w.buf.len() <= bound,
+            "{} encoded bytes outgrew the {bound}-byte bound",
+            w.buf.len()
+        );
         w.buf
+    }
+
+    /// An upper bound on [`encode`](Self::encode)'s length from the
+    /// message's own counts, so the payload buffer is allocated once.
+    /// Exact except for compact references (see [`report_len_bound`]).
+    fn encoded_len_bound(&self) -> usize {
+        match self {
+            ControlMsg::Probe { .. } => 1 + 8 + 6 + 1,
+            ControlMsg::ProbeReply { .. } => 1 + 8 + 6 + 1 + 6 + 1,
+            ControlMsg::TreePosition { .. } => 1 + 8 + 8 + 1 + POS_LEN,
+            ControlMsg::TreePositionAck { .. } => 1 + 8 + 8 + 1 + 8 + 1 + POS_LEN,
+            ControlMsg::TopologyReport { report, .. } => {
+                1 + 8 + 8 + report_len_bound(&report.switches)
+            }
+            ControlMsg::TopologyReportAck { .. } => 1 + 8 + 8,
+            ControlMsg::TopologyDown { global, .. } => {
+                let key = if is_compact(&global.switches) {
+                    UID_REF_MAX
+                } else {
+                    6
+                };
+                1 + 8
+                    + 6
+                    + report_len_bound(&global.switches)
+                    + 2
+                    + global.numbers.len() * (key + 2)
+            }
+            ControlMsg::TopologyDownAck { .. } => 1 + 8,
+            ControlMsg::ShortAddrRequest { .. } => 1 + 6,
+            ControlMsg::ShortAddrReply { .. } => 1 + 6 + 2,
+            ControlMsg::Srp {
+                route,
+                back_route,
+                payload,
+                ..
+            } => {
+                let payload = match payload {
+                    SrpPayload::Ping | SrpPayload::GetState => 1,
+                    SrpPayload::Pong { .. } => 1 + 6 + 8,
+                    SrpPayload::State { .. } => 1 + 6 + 8 + 1 + 1,
+                };
+                1 + 1 + route.len() + 1 + 1 + back_route.len() + payload
+            }
+        }
     }
 
     /// Parses a message from its payload bytes.
@@ -668,20 +798,14 @@ impl ControlMsg {
                 let epoch = Epoch(r.u64()?);
                 let root = r.uid()?;
                 let switches = r.report()?.switches;
-                let n = r.u16()? as usize;
-                let mut numbers = std::collections::BTreeMap::new();
-                for _ in 0..n {
-                    let uid = r.uid()?;
-                    let num = r.u16()?;
-                    numbers.insert(uid, num);
-                }
+                let numbers = r.numbers(Reader::uid)?;
                 ControlMsg::TopologyDown {
                     epoch,
                     global: GlobalTopology {
                         epoch,
                         root,
-                        switches: std::sync::Arc::new(switches),
-                        numbers: std::sync::Arc::new(numbers),
+                        switches: Arc::new(switches),
+                        numbers: Arc::new(numbers),
                     },
                 }
             }
@@ -696,27 +820,20 @@ impl ControlMsg {
             12 => ControlMsg::TopologyReport {
                 epoch: Epoch(r.u64()?),
                 seq: r.u64()?,
-                report: r.compact_report()?,
+                report: r.compact_report()?.0,
             },
             13 => {
                 let epoch = Epoch(r.u64()?);
                 let root = r.uid()?;
-                let report = r.compact_report()?;
-                let uids: Vec<Uid> = report.switches.iter().map(|s| s.uid).collect();
-                let n = r.u16()? as usize;
-                let mut numbers = std::collections::BTreeMap::new();
-                for _ in 0..n {
-                    let uid = r.uid_ref(&uids)?;
-                    let num = r.u16()?;
-                    numbers.insert(uid, num);
-                }
+                let (report, uids) = r.compact_report()?;
+                let numbers = r.numbers(|r| r.uid_ref(&uids))?;
                 ControlMsg::TopologyDown {
                     epoch,
                     global: GlobalTopology {
                         epoch,
                         root,
-                        switches: std::sync::Arc::new(report.switches),
-                        numbers: std::sync::Arc::new(numbers),
+                        switches: Arc::new(report.switches),
+                        numbers: Arc::new(numbers),
                     },
                 }
             }
@@ -803,7 +920,7 @@ mod tests {
             parent: Uid::new(2),
             parent_port: 11,
         };
-        let mut numbers = std::collections::BTreeMap::new();
+        let mut numbers = BTreeMap::new();
         numbers.insert(Uid::new(0xA1), 7u16);
         numbers.insert(Uid::new(0xB2), 2u16);
         vec![
@@ -849,8 +966,8 @@ mod tests {
                 global: GlobalTopology {
                     epoch: Epoch(9),
                     root: Uid::new(1),
-                    switches: std::sync::Arc::new(vec![sample_info()]),
-                    numbers: std::sync::Arc::new(numbers),
+                    switches: Arc::new(vec![sample_info()]),
+                    numbers: Arc::new(numbers),
                 },
             },
             ControlMsg::TopologyDownAck { epoch: Epoch(9) },
@@ -917,6 +1034,38 @@ mod tests {
         }
     }
 
+    #[test]
+    fn length_bound_is_exact_for_classic_and_holds_for_compact() {
+        for msg in all_samples() {
+            assert_eq!(msg.encoded_len_bound(), msg.encode().len(), "{msg:?}");
+        }
+        let msg = ControlMsg::TopologyReport {
+            epoch: Epoch(3),
+            seq: 1,
+            report: big_report(1024),
+        };
+        assert!(msg.encoded_len_bound() >= msg.encode().len());
+    }
+
+    #[test]
+    fn repeated_number_keys_keep_the_last() {
+        // A hand-built tag-7 payload whose number map names one UID twice.
+        let mut bytes = vec![7];
+        bytes.extend_from_slice(&9u64.to_be_bytes());
+        bytes.extend_from_slice(&Uid::new(1).to_bytes());
+        bytes.extend_from_slice(&0u16.to_be_bytes()); // no switches
+        bytes.extend_from_slice(&3u16.to_be_bytes());
+        for (uid, num) in [(5u64, 1u16), (2, 4), (5, 3)] {
+            bytes.extend_from_slice(&Uid::new(uid).to_bytes());
+            bytes.extend_from_slice(&num.to_be_bytes());
+        }
+        let Ok(ControlMsg::TopologyDown { global, .. }) = ControlMsg::decode(&bytes) else {
+            panic!("decodes");
+        };
+        let want: BTreeMap<Uid, SwitchNumber> = [(Uid::new(2), 4), (Uid::new(5), 3)].into();
+        assert_eq!(*global.numbers, want);
+    }
+
     /// A dense synthetic report: `n` switches, 12 links each, neighbors
     /// chosen in-table except one boundary link per switch.
     fn big_report(n: u64) -> SubtreeReport {
@@ -965,8 +1114,8 @@ mod tests {
             global: GlobalTopology {
                 epoch: Epoch(3),
                 root: report.switches[0].uid,
-                switches: std::sync::Arc::new(report.switches.clone()),
-                numbers: std::sync::Arc::new(numbers),
+                switches: Arc::new(report.switches.clone()),
+                numbers: Arc::new(numbers),
             },
         };
         let bytes = down.encode();

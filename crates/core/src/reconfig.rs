@@ -479,7 +479,7 @@ impl ReconfigEngine {
         }
         // Retransmit unacknowledged downs (root and interior switches).
         if self.completed {
-            if let Some(global) = self.global.clone() {
+            if let Some(global) = &self.global {
                 let epoch = self.epoch;
                 let retransmit = self.retransmit;
                 for (&port, ns) in self.neighbors.iter_mut() {

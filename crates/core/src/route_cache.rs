@@ -267,11 +267,22 @@ impl Inner {
     /// Makes `current` the generation for `digest`, rotating or swapping
     /// as needed. A digest matching `previous` (a fault that healed back
     /// to the prior shape) promotes it back without rebuilding.
+    ///
+    /// A digest match is trusted without comparing content; debug builds
+    /// check that the hit's topology really is the served one, so a
+    /// digest collision fails the tests instead of serving wrong tables.
     fn ensure_generation(&mut self, digest: u64, global: &GlobalTopology) {
-        if self.current.as_ref().is_some_and(|g| g.digest == digest) {
+        let hit = |g: &Option<Generation>| match g {
+            Some(g) if g.digest == digest => {
+                debug_assert!(g.global.content_eq(global), "digest collision");
+                true
+            }
+            _ => false,
+        };
+        if hit(&self.current) {
             return;
         }
-        if self.previous.as_ref().is_some_and(|g| g.digest == digest) {
+        if hit(&self.previous) {
             std::mem::swap(&mut self.current, &mut self.previous);
             return; // `delta_ok` is symmetric; the swap preserves it.
         }

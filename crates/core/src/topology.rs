@@ -187,44 +187,61 @@ impl GlobalTopology {
     /// detected and repaired between snapshots, or back-to-back faults
     /// that converge to the same shape) hash equal, so a route cache
     /// keyed on this digest coalesces their table computations into one.
-    /// FNV-1a over the in-memory order, which is itself canonical: the
-    /// switch list is the root's tree accumulation order and the number
-    /// map iterates sorted by UID.
+    /// The in-memory order is itself canonical: the switch list is the
+    /// root's tree accumulation order and the number map iterates sorted
+    /// by UID.
+    ///
+    /// The content is packed into a word stream that is injective given
+    /// its counts (a 48-bit UID and up to 16 bits of ports or number per
+    /// word), and each word is folded in by [`mix64`]. The mixer is a
+    /// bijection, so two streams of equal length that differ in a single
+    /// word always digest differently.
     pub fn content_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = DIGEST_SEED;
+        let mut eat = |word: u64| h = mix64(h ^ word);
+        let uid_and = |u: Uid, low: u64| (u.as_u64() << 16) | low;
         eat(self.root.as_u64());
+        eat(self.switches.len() as u64);
         for s in self.switches.iter() {
-            eat(0xA0); // section tag: one switch
-            eat(s.uid.as_u64());
-            eat(u64::from(s.proposed_number));
-            eat(s.parent.as_u64());
-            eat(u64::from(s.parent_port));
+            eat(uid_and(s.uid, u64::from(s.proposed_number)));
+            eat(uid_and(s.parent, u64::from(s.parent_port)));
+            eat(((s.links.len() as u64) << 32) | s.host_ports.len() as u64);
             for l in &s.links {
-                eat(0xA1); // section tag: one link
-                eat(u64::from(l.local_port));
-                eat(l.neighbor.as_u64());
-                eat(u64::from(l.neighbor_port));
+                let ports = (u64::from(l.local_port) << 8) | u64::from(l.neighbor_port);
+                eat(uid_and(l.neighbor, ports));
             }
-            for &p in &s.host_ports {
-                eat(0xA2); // section tag: one host port
-                eat(u64::from(p));
+            for chunk in s.host_ports.chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                eat(u64::from_le_bytes(word));
             }
         }
+        eat(self.numbers.len() as u64);
         for (&uid, &num) in self.numbers.iter() {
-            eat(0xA3); // section tag: one number assignment
-            eat(uid.as_u64());
-            eat(u64::from(num));
+            eat(uid_and(uid, u64::from(num)));
         }
         h
     }
+
+    /// Whether two topologies have the same content, ignoring the epoch:
+    /// the equality that [`content_digest`](Self::content_digest) stands
+    /// in for.
+    pub(crate) fn content_eq(&self, other: &GlobalTopology) -> bool {
+        self.root == other.root && self.switches == other.switches && self.numbers == other.numbers
+    }
+}
+
+/// Starting state of [`GlobalTopology::content_digest`].
+const DIGEST_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The MurmurHash3 64-bit finalizer: a bijection on `u64` in which every
+/// input bit flips every output bit with probability close to one half.
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
 #[cfg(test)]
@@ -327,13 +344,52 @@ mod tests {
         let mut b = three_chain();
         b.epoch = Epoch(99);
         assert_eq!(a.content_digest(), b.content_digest());
-        // Any structural change moves the digest.
-        let mut c = three_chain();
-        Arc::make_mut(&mut c.switches)[2].parent_port = 7;
-        assert_ne!(a.content_digest(), c.content_digest());
-        let mut d = three_chain();
-        Arc::make_mut(&mut d.numbers).insert(Uid::new(3), 9);
-        assert_ne!(a.content_digest(), d.content_digest());
+        assert!(a.content_eq(&b));
+        // Any single-field change moves the digest.
+        let mut base = three_chain();
+        Arc::make_mut(&mut base.switches)[1].links = vec![LinkInfo {
+            local_port: 2,
+            neighbor: Uid::new(3),
+            neighbor_port: 4,
+        }];
+        Arc::make_mut(&mut base.switches)[1].host_ports = vec![5, 6];
+        type Edit = (&'static str, fn(&mut GlobalTopology));
+        let edits: [Edit; 10] = [
+            ("link local port", |g| {
+                Arc::make_mut(&mut g.switches)[1].links[0].local_port = 7
+            }),
+            ("link neighbor port", |g| {
+                Arc::make_mut(&mut g.switches)[1].links[0].neighbor_port = 7
+            }),
+            ("link neighbor", |g| {
+                Arc::make_mut(&mut g.switches)[1].links[0].neighbor = Uid::new(1)
+            }),
+            ("host port", |g| {
+                Arc::make_mut(&mut g.switches)[1].host_ports[1] = 7
+            }),
+            ("proposed number", |g| {
+                Arc::make_mut(&mut g.switches)[2].proposed_number = 7
+            }),
+            ("assigned number", |g| {
+                Arc::make_mut(&mut g.numbers).insert(Uid::new(3), 9);
+            }),
+            ("parent", |g| {
+                Arc::make_mut(&mut g.switches)[2].parent = Uid::new(1)
+            }),
+            ("parent port", |g| {
+                Arc::make_mut(&mut g.switches)[2].parent_port = 7
+            }),
+            ("root", |g| g.root = Uid::new(2)),
+            ("host port removed", |g| {
+                Arc::make_mut(&mut g.switches)[1].host_ports.pop();
+            }),
+        ];
+        for (field, edit) in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert!(!base.content_eq(&changed), "{field}");
+            assert_ne!(base.content_digest(), changed.content_digest(), "{field}");
+        }
     }
 
     #[test]

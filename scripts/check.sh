@@ -31,6 +31,12 @@ echo "==> worst-case tier (release)"
 cargo test --release -q --test worst_case -- --ignored
 cargo test --release -q --test worst_case_goldens -- --include-ignored
 
+echo "==> repository benchmark builds and passes its unit tests (release)"
+# perfbench is a workspace of its own, so the steps above never compile
+# it: a public-API change in a crate it calls must fail here, not at the
+# next benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> scale smoke + bench JSON schema"
 SCALE_SMOKE=1 cargo bench -q -p autonet-bench --bench exp_scale
 WORST_CASE_SMOKE=1 cargo bench -q -p autonet-bench --bench exp_worst_case

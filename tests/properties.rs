@@ -8,7 +8,7 @@ use autonet::autopilot::Epoch;
 use autonet::autopilot::{
     assign_switch_numbers, global_from_view_simple, AutopilotParams, ConnectivityEvent,
     ConnectivityMonitor, ControlMsg, PortState, RouteComputer, RouteKind, Skeptic, SrpPayload,
-    SwitchInfo, TreePosition,
+    SubtreeReport, SwitchInfo, TreePosition,
 };
 use autonet::autopilot::{Event, ReconfigCause};
 use autonet::sim::{SimDuration, SimTime};
@@ -158,7 +158,11 @@ proptest! {
         prop_assert!(Packet::decode(&bytes).is_err());
     }
 
-    /// The control-message codec round-trips structured messages.
+    /// The control-message codec round-trips structured messages,
+    /// topology messages on both sides of the compact-encoding threshold
+    /// (128 switches) included. A report cut from the topology's switch
+    /// list names switches outside it, so its compact form carries literal
+    /// UID references.
     #[test]
     fn control_msg_codec_roundtrip(
         epoch in 0u64..1_000_000,
@@ -167,6 +171,8 @@ proptest! {
         root in 1u64..1_000_000,
         level in 0u32..64,
         is_parent in any::<bool>(),
+        switches in 2usize..300,
+        topo_seed in 1u64..10_000,
     ) {
         let pos = TreePosition {
             root: Uid::new(root),
@@ -186,6 +192,26 @@ proptest! {
             },
             ControlMsg::Probe { seq, origin: Uid::new(root), origin_port: port },
             ControlMsg::Srp { route: vec![port, 1, 2], hop: 1, back_route: vec![3, port], payload: SrpPayload::Ping },
+        ] {
+            let bytes = msg.encode();
+            prop_assert_eq!(ControlMsg::decode(&bytes).unwrap(), msg);
+        }
+        let topo = gen::random_connected(switches, switches / 4, topo_seed);
+        let mut global = global_from_view_simple(&topo.view_all()).expect("non-empty");
+        global.epoch = Epoch(epoch);
+        let cut = global.switches.len() * 3 / 4;
+        for msg in [
+            ControlMsg::TopologyReport {
+                epoch: Epoch(epoch),
+                seq,
+                report: SubtreeReport { switches: global.switches.to_vec() },
+            },
+            ControlMsg::TopologyReport {
+                epoch: Epoch(epoch),
+                seq,
+                report: SubtreeReport { switches: global.switches[..cut].to_vec() },
+            },
+            ControlMsg::TopologyDown { epoch: Epoch(epoch), global },
         ] {
             let bytes = msg.encode();
             prop_assert_eq!(ControlMsg::decode(&bytes).unwrap(), msg);
